@@ -169,59 +169,34 @@ func TestEq19MinimisesTotalCost(t *testing.T) {
 	}
 }
 
+// TestGuardPersistenceTables checks the §5.1 freshness protocol on the
+// in-memory guard cache: the rP trigger marks the key's claim outdated,
+// the next query regenerates it, and regeneration replaces the key's
+// state rather than accumulating one per generation.
 func TestGuardPersistenceTables(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 30)
 	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
 		t.Fatal(err)
 	}
-	// rGE must hold one fresh row for the key.
-	res, err := f.db.Query("SELECT outdated FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
+	before := f.m.CacheStats()
+	if before.GuardStates != 1 {
+		t.Fatalf("guard states = %d, want 1", before.GuardStates)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Bool() {
-		t.Fatalf("rGE rows = %v", res.Rows)
-	}
-	// rGG and rGP must describe the cached expression.
-	ge, ok := f.m.GuardedExpression(f.qm, "wifi")
-	if !ok {
-		t.Fatal("no cached guarded expression")
-	}
-	gp, err := f.db.Query("SELECT count(*) FROM " + TableGP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gp.Rows[0][0].I != int64(ge.PolicyCount()) {
-		t.Fatalf("rGP rows = %v, want %d", gp.Rows[0][0], ge.PolicyCount())
-	}
-	gg, err := f.db.Query("SELECT count(DISTINCT id) FROM " + TableGG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gg.Rows[0][0].I != int64(len(ge.Guards)) {
-		t.Fatalf("rGG distinct guards = %v, want %d", gg.Rows[0][0], len(ge.Guards))
-	}
-	// Trigger flips the persisted outdated flag.
+	regens := f.m.Regens(f.qm, "wifi")
 	if err := f.m.AddPolicy(newPolicy(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := f.db.Query("SELECT outdated FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
+	if got := f.m.CacheStats().ClaimsInvalidated; got != before.ClaimsInvalidated+1 {
+		t.Fatalf("claims invalidated = %d, want %d", got, before.ClaimsInvalidated+1)
 	}
-	if len(res2.Rows) != 1 || !res2.Rows[0][0].Bool() {
-		t.Fatalf("outdated flag not persisted: %v", res2.Rows)
-	}
-	// Regeneration replaces rows rather than accumulating them.
 	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
 		t.Fatal(err)
 	}
-	res3, err := f.db.Query("SELECT count(*) FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
+	if got := f.m.Regens(f.qm, "wifi"); got != regens+1 {
+		t.Fatalf("regens = %d, want %d", got, regens+1)
 	}
-	if res3.Rows[0][0].I != 1 {
-		t.Fatalf("rGE accumulated %v rows for one key", res3.Rows[0][0])
+	if got := f.m.CacheStats().GuardStates; got != 1 {
+		t.Fatalf("guard states after regeneration = %d, want 1", got)
 	}
 }
 

@@ -1,207 +1,9 @@
 package core
 
 import (
-	"fmt"
-
-	"github.com/sieve-db/sieve/internal/engine"
 	"github.com/sieve-db/sieve/internal/guard"
 	"github.com/sieve-db/sieve/internal/policy"
-	"github.com/sieve-db/sieve/internal/sqlparser"
-	"github.com/sieve-db/sieve/internal/storage"
 )
-
-// Guard persistence tables (§5.1).
-const (
-	TableGE = "sieve_guard_expressions" // rGE
-	TableGG = "sieve_guards"            // rGG
-	TableGP = "sieve_guard_policies"    // rGP
-)
-
-// guardTables wraps the three guard relations. They are the durable form
-// of the middleware's guard cache: regeneration rewrites them, the rP
-// trigger flips the outdated flag, and a fresh middleware instance can
-// reload its cache from them.
-type guardTables struct {
-	db          *engine.DB
-	ge, gg, gp  *storage.Table
-	nextGEID    int64
-	nextGuardID int64
-	clock       int64
-}
-
-func newGuardTables(db *engine.DB) (*guardTables, error) {
-	gt := &guardTables{db: db, nextGEID: 1, nextGuardID: 1}
-	if t, ok := db.Table(TableGE); ok {
-		gt.ge = t
-		gt.gg = db.MustTable(TableGG)
-		gt.gp = db.MustTable(TableGP)
-		gt.recoverCounters()
-		return gt, nil
-	}
-	geSchema := storage.MustSchema(
-		storage.Column{Name: "id", Type: storage.KindInt},
-		storage.Column{Name: "querier", Type: storage.KindString},
-		storage.Column{Name: "associated_table", Type: storage.KindString},
-		storage.Column{Name: "purpose", Type: storage.KindString},
-		storage.Column{Name: "outdated", Type: storage.KindBool},
-		storage.Column{Name: "inserted_at", Type: storage.KindInt},
-	)
-	ggSchema := storage.MustSchema(
-		storage.Column{Name: "id", Type: storage.KindInt}, // guard id (ranges span two rows)
-		storage.Column{Name: "guard_expression_id", Type: storage.KindInt},
-		storage.Column{Name: "attr", Type: storage.KindString},
-		storage.Column{Name: "op", Type: storage.KindString},
-		storage.Column{Name: "val", Type: storage.KindString},
-	)
-	gpSchema := storage.MustSchema(
-		storage.Column{Name: "guard_id", Type: storage.KindInt},
-		storage.Column{Name: "policy_id", Type: storage.KindInt},
-	)
-	var err error
-	if gt.ge, err = db.CreateTable(TableGE, geSchema); err != nil {
-		return nil, err
-	}
-	if gt.gg, err = db.CreateTable(TableGG, ggSchema); err != nil {
-		return nil, err
-	}
-	if gt.gp, err = db.CreateTable(TableGP, gpSchema); err != nil {
-		return nil, err
-	}
-	for _, idx := range []struct{ t, c string }{
-		{TableGE, "querier"}, {TableGG, "guard_expression_id"}, {TableGP, "guard_id"},
-	} {
-		if err := db.CreateIndex(idx.t, idx.c); err != nil {
-			return nil, err
-		}
-	}
-	return gt, nil
-}
-
-func (gt *guardTables) recoverCounters() {
-	gt.ge.Scan(func(_ storage.RowID, r storage.Row) bool {
-		if r[0].I >= gt.nextGEID {
-			gt.nextGEID = r[0].I + 1
-		}
-		if r[5].I > gt.clock {
-			gt.clock = r[5].I
-		}
-		return true
-	})
-	gt.gg.Scan(func(_ storage.RowID, r storage.Row) bool {
-		if r[0].I >= gt.nextGuardID {
-			gt.nextGuardID = r[0].I + 1
-		}
-		return true
-	})
-}
-
-// save replaces any prior persisted expression for the key and writes the
-// new one; returns the rGE row id (for the outdated-flag fast path).
-func (gt *guardTables) save(ge *guard.GuardedExpression) (storage.RowID, error) {
-	gt.deleteFor(ge.Querier, ge.Purpose, ge.Relation)
-	geID := gt.nextGEID
-	gt.nextGEID++
-	gt.clock++
-	rowID, err := gt.ge.Insert(storage.Row{
-		storage.NewInt(geID), storage.NewString(ge.Querier), storage.NewString(ge.Relation),
-		storage.NewString(ge.Purpose), storage.NewBool(false), storage.NewInt(gt.clock),
-	})
-	if err != nil {
-		return -1, err
-	}
-	lit := func(v storage.Value) string { return sqlparser.PrintExpr(sqlparser.Lit(v)) }
-	for gi := range ge.Guards {
-		g := &ge.Guards[gi]
-		guardID := gt.nextGuardID
-		gt.nextGuardID++
-		var rows []storage.Row
-		c := g.Cond
-		switch c.Kind {
-		case policy.CondCompare:
-			rows = append(rows, storage.Row{storage.NewInt(guardID), storage.NewInt(geID),
-				storage.NewString(c.Attr), storage.NewString(c.Op.String()), storage.NewString(lit(c.Val))})
-		case policy.CondRange:
-			if !c.Lo.IsNull() {
-				rows = append(rows, storage.Row{storage.NewInt(guardID), storage.NewInt(geID),
-					storage.NewString(c.Attr), storage.NewString(c.LoOp.String()), storage.NewString(lit(c.Lo))})
-			}
-			if !c.Hi.IsNull() {
-				rows = append(rows, storage.Row{storage.NewInt(guardID), storage.NewInt(geID),
-					storage.NewString(c.Attr), storage.NewString(c.HiOp.String()), storage.NewString(lit(c.Hi))})
-			}
-		default:
-			return -1, fmt.Errorf("sieve: unsupported guard condition kind %d", c.Kind)
-		}
-		for _, r := range rows {
-			if _, err := gt.gg.Insert(r); err != nil {
-				return -1, err
-			}
-		}
-		for _, p := range g.Policies {
-			if _, err := gt.gp.Insert(storage.Row{storage.NewInt(guardID), storage.NewInt(p.ID)}); err != nil {
-				return -1, err
-			}
-		}
-	}
-	return rowID, nil
-}
-
-// deleteFor removes the persisted expression (and its guards/partitions)
-// for one key.
-func (gt *guardTables) deleteFor(querier, purpose, relation string) {
-	var geIDs []int64
-	var geRows []storage.RowID
-	gt.ge.Scan(func(id storage.RowID, r storage.Row) bool {
-		if r[1].S == querier && r[2].S == relation && r[3].S == purpose {
-			geIDs = append(geIDs, r[0].I)
-			geRows = append(geRows, id)
-		}
-		return true
-	})
-	if len(geIDs) == 0 {
-		return
-	}
-	geSet := make(map[int64]bool, len(geIDs))
-	for _, id := range geIDs {
-		geSet[id] = true
-	}
-	var guardRows []storage.RowID
-	guardIDs := make(map[int64]bool)
-	gt.gg.Scan(func(id storage.RowID, r storage.Row) bool {
-		if geSet[r[1].I] {
-			guardRows = append(guardRows, id)
-			guardIDs[r[0].I] = true
-		}
-		return true
-	})
-	var gpRows []storage.RowID
-	gt.gp.Scan(func(id storage.RowID, r storage.Row) bool {
-		if guardIDs[r[0].I] {
-			gpRows = append(gpRows, id)
-		}
-		return true
-	})
-	for _, id := range geRows {
-		_ = gt.ge.Delete(id)
-	}
-	for _, id := range guardRows {
-		_ = gt.gg.Delete(id)
-	}
-	for _, id := range gpRows {
-		_ = gt.gp.Delete(id)
-	}
-}
-
-// markOutdated sets the outdated flag on an rGE row in place.
-func (gt *guardTables) markOutdated(rowID storage.RowID) {
-	r, ok := gt.ge.Get(rowID)
-	if !ok {
-		return
-	}
-	nr := r.Clone()
-	nr[4] = storage.NewBool(true)
-	_ = gt.ge.Update(rowID, nr)
-}
 
 // guardedExpressionFor returns the guard state for a key, applying the
 // §5.1/§6 freshness rules through the signature-sharing cache. The bool
@@ -221,8 +23,8 @@ func (m *Middleware) guardedExpressionFor(qm policy.Metadata, relation string) (
 //     in signature order: share an existing state generated for the exact
 //     same id set; else, under a §6 regeneration interval, keep the
 //     claim's stale state with the insert-only delta appended as pending
-//     arms while it stays below k̃; else generate (and persist) a fresh
-//     state for the signature.
+//     arms while it stays below k̃; else generate a fresh state for the
+//     signature.
 //
 // The corpus is always filtered with the middleware-wide group resolver:
 // states are shared across sessions, so a session's pinned older
@@ -266,9 +68,9 @@ func (m *Middleware) resolveClaimLocked(key geKey) (*geState, []*policy.Policy, 
 	return st, nil, false, nil
 }
 
-// generateStateLocked builds, persists, and indexes a fresh shared state
-// for a signature. Caller holds m.mu. key is only the representative the
-// rGE rows are written under; the state itself is keyed by signature.
+// generateStateLocked builds and indexes a fresh shared state for a
+// signature. Caller holds m.mu. key is only the representative claim that
+// generated it; the state itself is keyed by signature.
 func (m *Middleware) generateStateLocked(key geKey, ps []*policy.Policy, ids []int64, hash uint64) (*geState, error) {
 	sel, err := m.selectivityFor(key.relation)
 	if err != nil {
@@ -278,14 +80,10 @@ func (m *Middleware) generateStateLocked(key geKey, ps []*policy.Policy, ids []i
 	if err != nil {
 		return nil, err
 	}
-	rowID, err := m.persist.save(ge)
-	if err != nil {
-		return nil, err
-	}
 	m.nextStateID++
 	st := &geState{
 		ge: ge, relation: key.relation, ids: ids, hash: hash,
-		stateID: m.nextStateID, geRowID: rowID, reprKey: key,
+		stateID: m.nextStateID, reprKey: key,
 		deltaSets: make(map[int]int64),
 	}
 	// Register Δ check sets for guards above the threshold (§5.4).
@@ -312,7 +110,6 @@ func (m *Middleware) generateStateLocked(key geKey, ps []*policy.Policy, ids []i
 // group-membership changes (the scoped index is built from membership at
 // claim-creation time).
 func (m *Middleware) InvalidateAll() {
-	defer m.epoch.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++

@@ -178,8 +178,8 @@ func TestNoHintsRewriteOmitsHints(t *testing.T) {
 }
 
 // TestMiddlewareReattachSharesPersistedState verifies that a second
-// middleware instance over the same database reattaches to the policy and
-// guard relations without duplicating them.
+// middleware instance over the same database reattaches to the policy
+// relations without duplicating them and enforces the same result.
 func TestMiddlewareReattachSharesPersistedState(t *testing.T) {
 	f := newFixture(t, engine.MySQL(), 25)
 	if _, err := f.m.Execute(selectAll, f.qm); err != nil {
@@ -206,15 +206,6 @@ func TestMiddlewareReattachSharesPersistedState(t *testing.T) {
 	}
 	if !equalIDs(idsOf(res, 0), keysOf(f.allowedIDs(t))) {
 		t.Fatal("reattached middleware diverges")
-	}
-	// The rGE table holds exactly one fresh row for the key (the reattach
-	// replaced the first instance's row rather than accumulating).
-	ge, err := f.db.Query("SELECT count(*) FROM " + TableGE + " WHERE querier = 'prof'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ge.Rows[0][0].I != 1 {
-		t.Fatalf("rGE rows after reattach = %v, want 1", ge.Rows[0][0])
 	}
 }
 

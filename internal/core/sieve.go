@@ -1,6 +1,6 @@
 // Package core implements the SIEVE middleware itself (§5): it intercepts
 // queries bound for the underlying database, filters the policy corpus by
-// query metadata, maintains persisted guarded expressions per
+// query metadata, caches guarded expressions in memory per
 // (querier, purpose, relation) with trigger-driven invalidation, chooses an
 // execution strategy from a calibrated cost model (Inline vs Δ per guard,
 // LinearScan vs IndexQuery vs IndexGuards per table), rewrites the query
@@ -49,13 +49,6 @@ type Middleware struct {
 	genOpts        guard.GenOptions // guard-generation ablation switches
 	noHints        bool             // suppress index hints even on mysql (ablation)
 
-	// epoch counts policy-visibility changes (inserts, revocations,
-	// newly protected relations, administrative invalidation). It is an
-	// observability counter: plan validity is carried by the signature
-	// tokens (see planTokenFor), so churn no longer discards unrelated
-	// cached plans the way a global epoch check would.
-	epoch atomic.Uint64
-
 	mu        sync.Mutex
 	protected map[string]bool
 	// claims maps (querier, purpose, relation) to its binding onto a
@@ -74,8 +67,6 @@ type Middleware struct {
 	// planHits/planMisses aggregate Stmt plan-token lookups; atomics
 	// because Stmt bumps them without holding m.mu.
 	planHits, planMisses atomic.Int64
-
-	persist *guardTables
 
 	// durMu guards the durability hook (SetDurability); Protect logs
 	// through it so a recovered instance re-protects the same relations.
@@ -137,9 +128,8 @@ type geState struct {
 	// deltaSets maps guard index → Δ check-set id for guards whose
 	// partitions exceed the Δ threshold (§5.4).
 	deltaSets map[int]int64
-	// geRowID is the row of this expression in rGE (persisted under
-	// reprKey, the first claim that generated it).
-	geRowID storage.RowID
+	// reprKey is the claim that generated the state; any other claim
+	// bound to it is riding a shared signature.
 	reprKey geKey
 	// refs counts bound claims; claims holds them for scoped
 	// invalidation when the state retires. gone marks a retired state.
@@ -212,11 +202,6 @@ func New(store *policy.Store, opts ...Option) (*Middleware, error) {
 	for _, o := range opts {
 		o(m)
 	}
-	pt, err := newGuardTables(m.db)
-	if err != nil {
-		return nil, err
-	}
-	m.persist = pt
 	m.registerDeltaUDF()
 	// Trigger on rP: a policy insert marks affected guarded expressions
 	// outdated (§5.1) and queues the policy for deferred regeneration (§6).
@@ -272,8 +257,8 @@ func (m *Middleware) Protect(relation string) error {
 	}
 	m.mu.Lock()
 	m.protected[relation] = true
+	m.stats.protects++
 	m.mu.Unlock()
-	m.epoch.Add(1)
 	return nil
 }
 
@@ -290,13 +275,6 @@ func (m *Middleware) ProtectedRelations() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Epoch returns the policy-visibility epoch: it advances on every event
-// that can change what some querier is allowed to see (policy insert or
-// revocation, Protect, InvalidateAll). It is a churn counter for
-// observability (/varz); plan validity is scoped per signature via the
-// plan tokens, not gated on this global value.
-func (m *Middleware) Epoch() uint64 { return m.epoch.Load() }
 
 // Protected reports whether a relation is access-controlled.
 func (m *Middleware) Protected(relation string) bool {
@@ -319,7 +297,6 @@ func (m *Middleware) RevokePolicy(id int64) error {
 	if err != nil {
 		return err
 	}
-	defer m.epoch.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++
@@ -376,7 +353,6 @@ func (m *Middleware) selectivityFor(relation string) (guard.Selectivity, error) 
 // ⟨id, owner, querier, associated_table, purpose, action, inserted_at⟩.
 func (m *Middleware) onPolicyInserted(_ string, row storage.Row) {
 	querier, relation, purpose := row[2].S, row[3].S, row[4].S
-	defer m.epoch.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.scopedInvalidations++

@@ -68,6 +68,7 @@ type cacheStats struct {
 	guardShares         int64
 	scopedInvalidations int64
 	claimsInvalidated   int64
+	protects            int64
 }
 
 // CacheStats is a snapshot of the middleware's cache-effectiveness
@@ -92,6 +93,11 @@ type CacheStats struct {
 	// ratio is the blast radius per churn event.
 	ScopedInvalidations int64 `json:"scoped_invalidations"`
 	ClaimsInvalidated   int64 `json:"claims_invalidated"`
+	// PolicyEpoch advances on every event that can change what some
+	// querier is allowed to see: the churn events above plus each
+	// Protect. It is an observability counter; plan validity is scoped
+	// per signature by the plan tokens (see planTokenFor).
+	PolicyEpoch int64 `json:"policy_epoch"`
 	// PlanCacheHits / PlanCacheMisses count prepared-statement plan
 	// lookups by token (see planTokenFor).
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
@@ -115,6 +121,7 @@ func (m *Middleware) CacheStats() CacheStats {
 		Claims:              int64(len(m.claims)),
 		ScopedInvalidations: m.stats.scopedInvalidations,
 		ClaimsInvalidated:   m.stats.claimsInvalidated,
+		PolicyEpoch:         m.stats.scopedInvalidations + m.stats.protects,
 		PlanCacheHits:       m.planHits.Load(),
 		PlanCacheMisses:     m.planMisses.Load(),
 	}
@@ -225,8 +232,8 @@ func (m *Middleware) unregisterClaimLocked(c *claim) {
 	}
 }
 
-// invalidateClaimLocked flags a claim for re-resolution on its next query
-// and persists the §5.1 outdated flag on its state's rGE row.
+// invalidateClaimLocked flags a claim for re-resolution on its next query:
+// a cleared valid flag is the §5.1 outdated flag.
 func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
 	if force {
 		c.forceRegen = true
@@ -236,9 +243,6 @@ func (m *Middleware) invalidateClaimLocked(c *claim, force bool) {
 	}
 	c.valid = false
 	m.stats.claimsInvalidated++
-	if c.state != nil {
-		m.persist.markOutdated(c.state.geRowID)
-	}
 }
 
 // lookupStateLocked finds a live shared state for the exact id set.
@@ -278,7 +282,7 @@ func (m *Middleware) bindClaimLocked(c *claim, st *geState, shared bool) {
 }
 
 // unrefStateLocked drops a reference; the last reference retires the
-// state (its check sets and persisted rows go with it).
+// state (its check sets go with it).
 func (m *Middleware) unrefStateLocked(st *geState) {
 	st.refs--
 	if st.refs <= 0 {
@@ -287,9 +291,9 @@ func (m *Middleware) unrefStateLocked(st *geState) {
 }
 
 // removeStateLocked retires a shared state: it leaves the signature
-// index (so it can never be re-bound), its Δ check sets are dropped, its
-// persisted rGE row is flagged outdated, and every claim still bound to
-// it is force-invalidated — they regenerate on their next query.
+// index (so it can never be re-bound), its Δ check sets are dropped, and
+// every claim still bound to it is force-invalidated — they regenerate on
+// their next query.
 func (m *Middleware) removeStateLocked(st *geState) {
 	if st.gone {
 		return
@@ -309,7 +313,6 @@ func (m *Middleware) removeStateLocked(st *geState) {
 		m.states[sk] = bucket
 	}
 	m.dropCheckSetsLocked(st.setIDs)
-	m.persist.markOutdated(st.geRowID)
 	for c := range st.claims {
 		m.invalidateClaimLocked(c, true)
 	}

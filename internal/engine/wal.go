@@ -24,9 +24,8 @@ import (
 // mutation the in-memory state rejected.
 //
 // LogsTable gates which tables are row-logged: the policy relations log
-// logically (AddPolicy/RevokePolicy records carry the whole policy) and
-// the guard cache tables are derived state that regenerates lazily, so
-// both are excluded here.
+// logically (AddPolicy/RevokePolicy records carry the whole policy), so
+// they are excluded here, as are tables the log is configured to skip.
 type WAL interface {
 	LogsTable(table string) bool
 	AppendInsert(table string, row storage.Row, check func() error) (commit func(), err error)

@@ -153,7 +153,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		"stmts_prepared":           s.vz.StmtsPrepared.Value(),
 		"policy_changes":           s.vz.PolicyChanges.Value(),
 		"row_changes":              s.vz.RowChanges.Value(),
-		"policy_epoch":             int64(s.m.Epoch()),
+		"policy_epoch":             cs.PolicyEpoch,
 		"engine_tuples_read":       ec.TuplesRead,
 		"engine_segments_pruned":   ec.SegmentsPruned,
 		"engine_owner_dict_pruned": ec.OwnerDictPruned,

@@ -70,7 +70,7 @@ var tracedPhases = []string{
 // the registry only samples them when rendering.
 func (s *Server) registerBridges() {
 	m := s.m
-	s.reg.GaugeFunc("sieve_policy_epoch", func() int64 { return int64(m.Epoch()) })
+	s.reg.GaugeFunc("sieve_policy_epoch", func() int64 { return m.CacheStats().PolicyEpoch })
 
 	engineGauges := map[string]func() int64{
 		"sieve_engine_tuples_read":       func() int64 { return m.DB().CountersSnapshot().TuplesRead },

@@ -107,9 +107,8 @@ func equivMutate(t *testing.T, m *core.Middleware, db *engine.DB, querier string
 }
 
 // TestRecoveredStoreDifferentialOracle boots the full durable stack,
-// warms the guard cache (so the derived sieve_guard_* relations exist and
-// SkipTables must really exclude them), applies a mutation suffix, closes
-// without a checkpoint, and recovers. The recovered middleware — vector
+// warms the guard cache, applies a mutation suffix, closes without a
+// checkpoint, and recovers. The recovered middleware — vector
 // evaluation, replayed state — must answer the whole query corpus exactly
 // like a never-crashed mirror forced through row-at-a-time evaluation.
 func TestRecoveredStoreDifferentialOracle(t *testing.T) {

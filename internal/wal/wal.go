@@ -96,8 +96,7 @@ type Options struct {
 	// the clean-shutdown path still cut them explicitly).
 	CheckpointEvery int64
 	// SkipTables are excluded from row logging and from snapshots:
-	// derived state (the middleware's guard cache relations) that
-	// regenerates lazily after recovery.
+	// derived tables the caller regenerates after recovery.
 	SkipTables []string
 }
 

@@ -279,10 +279,9 @@ func NewDB(d Dialect) *DB { return engine.New(d) }
 // NewStore creates (or reattaches to) the policy relations in db.
 func NewStore(db *DB) (*Store, error) { return policy.NewStore(db) }
 
-// New builds a SIEVE middleware over a policy store's database. A
-// middleware re-attached to an existing database may call
-// Middleware.LoadPersistedGuards to resume from the persisted guarded
-// expressions (§5.1) instead of regenerating them on first query.
+// New builds a SIEVE middleware over a policy store's database. Its guard
+// cache lives in memory: a middleware re-attached to an existing database
+// regenerates each guarded expression (§5.1) on its first query.
 func New(store *Store, opts ...Option) (*Middleware, error) { return core.New(store, opts...) }
 
 // Middleware options.

@@ -46,6 +46,16 @@ func (s *RelSchema) Resolve(table, col string) (int, error) {
 
 var errColNotFound = fmt.Errorf("engine: column not found")
 
+// has reports whether any column is named col.
+func (s *RelSchema) has(col string) bool {
+	for _, c := range s.Cols {
+		if c.Name == col {
+			return true
+		}
+	}
+	return false
+}
+
 // ColumnNames returns the bare column names in order.
 func (s *RelSchema) ColumnNames() []string {
 	out := make([]string, len(s.Cols))

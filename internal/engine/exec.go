@@ -12,9 +12,12 @@ import (
 	"github.com/sieve-db/sieve/internal/storage"
 )
 
-// Result is a materialised query result: a thin wrapper that collects the
-// streaming executor's output. Callers that do not need every row at once
-// should prefer the streaming surface (DB.StreamStmt and Rows).
+// Result is a materialised query result: the rows of the executor's one
+// pipeline, drained into a slice. The pipeline itself buffers only where
+// the semantics require it: a hash join's build side, a cross join's inner
+// side, GROUP BY, ORDER BY, WITH bodies referenced more than once, and
+// MINUS's right arm. Callers that do not need every row at once should
+// prefer the streaming surface (DB.StreamStmt and Rows).
 type Result struct {
 	Columns []string
 	Rows    []storage.Row
@@ -121,12 +124,6 @@ func (ex *executor) flush(db *DB) {
 	db.countersMu.Unlock()
 }
 
-// rel is an intermediate relation during execution.
-type rel struct {
-	schema *RelSchema
-	rows   []storage.Row
-}
-
 // selectStmt materialises a statement's full result.
 func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (*Result, error) {
 	cols, it, err := ex.stmtIter(s, sc, outer, true)
@@ -140,11 +137,10 @@ func (ex *executor) selectStmt(s *sqlparser.SelectStmt, sc *scope, outer *env) (
 	return &Result{Columns: cols, Rows: rows}, nil
 }
 
-// stmtIter opens a statement as a stream of rows. Set operations (UNION /
-// MINUS) materialise their arms; plain selects stream through coreIter.
-// exhaustive promises the caller will drain the stream to completion (no
-// early Close, no downstream LIMIT cutting it short); it licenses the
-// parallel scan operator, whose workers read ahead of the consumer.
+// stmtIter opens a statement as a stream of rows. exhaustive promises the
+// caller will drain the stream to completion (no early Close, no
+// downstream LIMIT cutting it short); it licenses the vectorised and
+// parallel scan operators, which read whole segments ahead of the consumer.
 func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env, exhaustive bool) ([]string, rowIter, error) {
 	lazy := lazyCTENames(s)
 	// Each CTE gets its own scope link whose parent holds only the
@@ -169,39 +165,33 @@ func (ex *executor) stmtIter(s *sqlparser.SelectStmt, sc *scope, outer *env, exh
 	if len(s.Ops) == 0 {
 		return ex.coreIter(s.Body, sc, outer, exhaustive)
 	}
-	res, err := ex.coreResult(s.Body, sc, outer)
+	// Set operations open every arm exhaustive and read each to its end.
+	cols, it, err := ex.coreIter(s.Body, sc, outer, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, op := range s.Ops {
-		arm, err := ex.coreResult(op.Core, sc, outer)
+		armCols, arm, err := ex.coreIter(op.Core, sc, outer, true)
 		if err != nil {
+			it.Close()
 			return nil, nil, err
 		}
-		if len(arm.Columns) != len(res.Columns) {
-			return nil, nil, fmt.Errorf("engine: set operation arms have %d vs %d columns", len(res.Columns), len(arm.Columns))
+		if len(armCols) != len(cols) {
+			it.Close()
+			arm.Close()
+			return nil, nil, fmt.Errorf("engine: set operation arms have %d vs %d columns", len(cols), len(armCols))
 		}
 		switch op.Kind {
 		case sqlparser.SetUnion:
-			res = unionResults(res, arm, op.All)
+			it = &concatIter{srcs: []rowIter{it, arm}}
+			if !op.All {
+				it = &distinctIter{src: it}
+			}
 		case sqlparser.SetMinus:
-			res = minusResults(res, arm)
+			it = &distinctIter{src: it, except: arm}
 		}
 	}
-	return res.Columns, &sliceIter{ex: ex, rows: res.Rows}, nil
-}
-
-// coreResult materialises one select core.
-func (ex *executor) coreResult(core *sqlparser.SelectCore, sc *scope, outer *env) (*Result, error) {
-	cols, it, err := ex.coreIter(core, sc, outer, true)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := drainIter(it)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return cols, &exhaustIter{src: it}, nil
 }
 
 // lazyCTENames reports which WITH names may stream: referenced exactly
@@ -281,47 +271,6 @@ func countTableRefs(s *sqlparser.SelectStmt, insideExpr bool, total, inExpr map[
 	}
 }
 
-func unionResults(l, r *Result, all bool) *Result {
-	out := &Result{Columns: l.Columns}
-	if all {
-		out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
-		return out
-	}
-	seen := make(map[string]struct{}, len(l.Rows)+len(r.Rows))
-	for _, rows := range [][]storage.Row{l.Rows, r.Rows} {
-		for _, row := range rows {
-			k := rowKey(row)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
-func minusResults(l, r *Result) *Result {
-	drop := make(map[string]struct{}, len(r.Rows))
-	for _, row := range r.Rows {
-		drop[rowKey(row)] = struct{}{}
-	}
-	out := &Result{Columns: l.Columns}
-	seen := make(map[string]struct{}, len(l.Rows))
-	for _, row := range l.Rows {
-		k := rowKey(row)
-		if _, d := drop[k]; d {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
 func rowKey(r storage.Row) string {
 	var b strings.Builder
 	for _, v := range r {
@@ -344,89 +293,70 @@ func encodeValue(b *strings.Builder, v storage.Value) {
 	b.WriteByte(0)
 }
 
-// sourceInfo is a resolved FROM entry.
+// sourceInfo is a resolved FROM entry: a base table, or the opened stream
+// of a derived table or CTE.
 type sourceInfo struct {
-	ref        sqlparser.TableRef
-	name       string
-	tbl        *storage.Table // base table, or nil
-	res        *Result        // materialised derived table / CTE, or nil
-	stream     rowIter        // opened single-use CTE stream, or nil
-	streamCols []string
-	cols       map[string]bool
+	ref    sqlparser.TableRef
+	name   string
+	tbl    *storage.Table // base table, or nil
+	stream rowIter        // derived table or CTE, or nil
+	schema *RelSchema
 }
 
-// resolveSources binds the FROM entries. exhaustive carries the consumer's
-// drain promise into lazily streamed CTE bodies.
+// resolveSources binds the FROM entries. Derived tables and CTEs are
+// opened as streams; opening only builds their pipelines, no rows are read
+// yet. exhaustive carries the consumer's drain promise into them.
 func (ex *executor) resolveSources(core *sqlparser.SelectCore, sc *scope, outer *env, exhaustive bool) ([]*sourceInfo, error) {
 	sources := make([]*sourceInfo, 0, len(core.From))
 	for _, ref := range core.From {
-		src := &sourceInfo{ref: ref, name: ref.RefName(), cols: make(map[string]bool)}
-		switch {
-		case ref.Subquery != nil:
-			res, err := ex.selectStmt(ref.Subquery, sc, outer)
-			if err != nil {
-				return nil, err
-			}
-			src.res = res
-			for _, c := range res.Columns {
-				src.cols[c] = true
-			}
-		default:
-			if e, ok := sc.lookup(ref.Name); ok {
-				if e.res == nil && !e.streamed {
-					// Single-use CTE: open its body as a stream. Opening
-					// only builds the pipeline; no rows are read yet.
-					cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer, exhaustive)
-					if err != nil {
-						return nil, fmt.Errorf("in WITH %s: %w", ref.Name, err)
-					}
-					e.streamed = true
-					src.stream = &cteIter{src: it, name: ref.Name}
-					src.streamCols = cols
-					for _, c := range cols {
-						src.cols[c] = true
-					}
-					break
-				}
-				res, err := ex.materializeCTE(e, ref.Name)
-				if err != nil {
-					return nil, err
-				}
-				src.res = res
-				for _, c := range res.Columns {
-					src.cols[c] = true
-				}
-				break
-			}
+		src := &sourceInfo{ref: ref, name: ref.RefName()}
+		var cols []string
+		var err error
+		if ref.Subquery != nil {
+			cols, src.stream, err = ex.stmtIter(ref.Subquery, sc, outer, exhaustive)
+		} else if e, ok := sc.lookup(ref.Name); ok {
+			cols, src.stream, err = ex.openCTE(e, ref.Name, exhaustive)
+		} else {
 			t, ok := ex.db.Table(ref.Name)
 			if !ok {
-				return nil, fmt.Errorf("engine: unknown table %q", ref.Name)
+				err = fmt.Errorf("engine: unknown table %q", ref.Name)
 			}
 			src.tbl = t
-			for _, c := range t.Schema.Columns {
-				src.cols[c.Name] = true
+		}
+		if err != nil {
+			for _, s := range sources {
+				if s.stream != nil {
+					s.stream.Close()
+				}
 			}
+			return nil, err
+		}
+		if src.tbl != nil {
+			src.schema = qualifySchema(src.name, src.tbl.Schema)
+		} else {
+			src.schema = qualifyCols(src.name, cols)
 		}
 		sources = append(sources, src)
 	}
 	return sources, nil
 }
 
-// materializeCTE runs a lazy WITH body to completion and caches the
-// result for further references.
-func (ex *executor) materializeCTE(e *cteEntry, name string) (*Result, error) {
-	if e.res != nil {
-		return e.res, nil
+// openCTE opens one reference to a WITH relation: a multi-reference CTE
+// yields its materialised rows; a single-use CTE opens its body as a
+// stream, so a LIMIT or early Close above it terminates the body's scan.
+func (ex *executor) openCTE(e *cteEntry, name string, exhaustive bool) ([]string, rowIter, error) {
+	switch {
+	case e.res != nil:
+		return e.res.Columns, &sliceIter{ex: ex, rows: e.res.Rows}, nil
+	case e.streamed:
+		return nil, nil, fmt.Errorf("engine: internal error: WITH %s stream consumed twice", name)
 	}
-	if e.streamed {
-		return nil, fmt.Errorf("engine: internal error: WITH %s stream consumed twice", name)
-	}
-	res, err := ex.selectStmt(e.stmt, e.sc, e.outer)
+	cols, it, err := ex.stmtIter(e.stmt, e.sc, e.outer, exhaustive)
 	if err != nil {
-		return nil, fmt.Errorf("in WITH %s: %w", name, err)
+		return nil, nil, fmt.Errorf("in WITH %s: %w", name, err)
 	}
-	e.res = res
-	return res, nil
+	e.streamed = true
+	return cols, &cteIter{src: it, name: name}, nil
 }
 
 // refSet computes which local sources an expression references. Qualified
@@ -444,7 +374,7 @@ func refSet(e sqlparser.Expr, sources []*sourceInfo) map[int]bool {
 				if c.Table == s.name {
 					set[i] = true
 				}
-			} else if s.cols[c.Column] {
+			} else if s.schema.has(c.Column) {
 				set[i] = true
 			}
 		}
@@ -468,14 +398,9 @@ func qualifyCols(name string, cols []string) *RelSchema {
 	return &RelSchema{Cols: out}
 }
 
-func qualifyResult(name string, res *Result) *rel {
-	return &rel{schema: qualifyCols(name, res.Columns), rows: res.Rows}
-}
-
 // rowPasses evaluates conjuncts against one row laid out as schema,
 // rejecting on the first conjunct that is not true. The single
-// WHERE-evaluation semantics shared by the streaming scans and the
-// materialising filter.
+// row-at-a-time WHERE semantics shared by the scans and filterIter.
 func rowPasses(ev *evaluator, schema *RelSchema, row storage.Row, conjs []sqlparser.Expr, outer *env) (bool, error) {
 	en := &env{schema: schema, row: row, outer: outer}
 	for _, cj := range conjs {
@@ -490,81 +415,32 @@ func rowPasses(ev *evaluator, schema *RelSchema, row storage.Row, conjs []sqlpar
 	return true, nil
 }
 
-// filterRel keeps rows satisfying every conjunct.
-func (ex *executor) filterRel(r *rel, conjs []sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
-	if len(conjs) == 0 {
-		return r, nil
-	}
-	ev := &evaluator{ex: ex, scope: sc}
-	out := &rel{schema: r.schema}
-	for _, row := range r.rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		keep, err := rowPasses(ev, r.schema, row, conjs, outer)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
-}
-
-// scanSourceIter opens one FROM entry as a stream with its single-source
+// scanIter opens one FROM entry as a stream with its single-source
 // conjuncts applied (through the chosen access path for base tables). When
 // the consumer is exhaustive, a guarded sequential scan over enough
 // segments runs on the parallel operator instead of the serial cursor.
-func (ex *executor) scanSourceIter(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env, exhaustive bool) (*RelSchema, rowIter, error) {
+func (ex *executor) scanIter(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env, exhaustive bool) rowIter {
 	ev := &evaluator{ex: ex, scope: sc}
-	switch {
-	case src.stream != nil:
-		schema := qualifyCols(src.name, src.streamCols)
-		var it rowIter = src.stream
-		if len(conjs) > 0 {
-			it = &filterIter{ex: ex, src: it, schema: schema, conjs: conjs, ev: ev, outer: outer}
+	if src.stream != nil {
+		if len(conjs) == 0 {
+			return src.stream
 		}
-		return schema, it, nil
-	case src.res != nil:
-		r := qualifyResult(src.name, src.res)
-		var it rowIter = &sliceIter{ex: ex, rows: r.rows}
-		if len(conjs) > 0 {
-			it = &filterIter{ex: ex, src: it, schema: r.schema, conjs: conjs, ev: ev, outer: outer}
-		}
-		return r.schema, it, nil
-	default:
-		t := src.tbl
-		plan := planAccess(ex.db, t, src.name, conjs, src.ref.Hint)
-		schema := qualifySchema(src.name, t.Schema)
-		if plan.fetch == nil && exhaustive && len(conjs) > 0 && parallelSafeConjuncts(conjs) {
-			if workers := ex.db.EffectiveScanWorkers(); workers > 1 {
-				view := t.View()
-				if view.NumSegments() >= parallelScanMinSegments {
-					it := &parallelScanIter{
-						ex: ex, view: view, plan: plan, schema: schema,
-						conjs: conjs, sc: sc, outer: outer, workers: workers,
-					}
-					return schema, it, nil
+		return &filterIter{src: src.stream, schema: src.schema, conjs: conjs, ev: ev, outer: outer}
+	}
+	t := src.tbl
+	plan := planAccess(ex.db, t, src.name, conjs, src.ref.Hint)
+	if plan.fetch == nil && exhaustive && len(conjs) > 0 && parallelSafeConjuncts(conjs) {
+		if workers := ex.db.EffectiveScanWorkers(); workers > 1 {
+			view := t.View()
+			if view.NumSegments() >= parallelScanMinSegments {
+				return &parallelScanIter{
+					ex: ex, view: view, plan: plan, schema: src.schema,
+					conjs: conjs, sc: sc, outer: outer, workers: workers,
 				}
 			}
 		}
-		it := &tableIter{ex: ex, t: t, plan: plan, schema: schema, conjs: conjs, ev: ev, outer: outer, exhaustive: exhaustive}
-		return schema, it, nil
 	}
-}
-
-// scanSource materialises one FROM entry (the join path's build input).
-func (ex *executor) scanSource(src *sourceInfo, conjs []sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
-	schema, it, err := ex.scanSourceIter(src, conjs, sc, outer, true)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := drainIter(it)
-	if err != nil {
-		return nil, err
-	}
-	return &rel{schema: schema, rows: rows}, nil
+	return &tableIter{ex: ex, t: t, plan: plan, schema: src.schema, conjs: conjs, ev: ev, outer: outer, exhaustive: exhaustive}
 }
 
 // asEquiJoin recognises cur.col = next.col conjuncts usable as hash-join
@@ -606,74 +482,6 @@ func concatRows(a, b storage.Row) storage.Row {
 	return out
 }
 
-// hashJoin joins cur and next on the given key offsets. The hash table is
-// built on next (typically the smaller, later FROM entry) and probed with
-// cur, preserving cur's row order.
-func (ex *executor) hashJoin(cur, next *rel, lkeys, rkeys []int) (*rel, error) {
-	out := &rel{schema: concatSchemas(cur.schema, next.schema)}
-	table := make(map[string][]storage.Row, len(next.rows))
-	var b strings.Builder
-	for _, row := range next.rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		b.Reset()
-		null := false
-		for _, k := range rkeys {
-			if row[k].IsNull() {
-				null = true
-				break
-			}
-			encodeValue(&b, row[k])
-		}
-		if null {
-			continue
-		}
-		table[b.String()] = append(table[b.String()], row)
-	}
-	for _, lrow := range cur.rows {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		b.Reset()
-		null := false
-		for _, k := range lkeys {
-			if lrow[k].IsNull() {
-				null = true
-				break
-			}
-			encodeValue(&b, lrow[k])
-		}
-		if null {
-			continue
-		}
-		for _, rrow := range table[b.String()] {
-			// Inner-loop tick: a skewed key matching millions of build
-			// rows must still honour cancellation within the interval.
-			if err := ex.checkCtx(); err != nil {
-				return nil, err
-			}
-			out.rows = append(out.rows, concatRows(lrow, rrow))
-		}
-	}
-	return out, nil
-}
-
-func (ex *executor) crossJoin(cur, next *rel) (*rel, error) {
-	out := &rel{schema: concatSchemas(cur.schema, next.schema)}
-	for _, l := range cur.rows {
-		for _, r := range next.rows {
-			// Per-output-row tick: cancellation latency must not scale
-			// with the inner relation's size.
-			if err := ex.checkCtx(); err != nil {
-				return nil, err
-			}
-			out.rows = append(out.rows, concatRows(l, r))
-		}
-	}
-	return out, nil
-}
-
 // classified is one WHERE conjunct with the set of local sources it
 // touches and whether it has been applied somewhere in the pipeline.
 type classified struct {
@@ -707,40 +515,39 @@ func classifyConjuncts(core *sqlparser.SelectCore, sources []*sourceInfo) ([]*cl
 	return classifieds, perSource
 }
 
-// joinSources scans and joins all FROM entries left to right, applying
-// multi-source conjuncts as soon as the join binds them.
-func (ex *executor) joinSources(sources []*sourceInfo, classifieds []*classified, perSource [][]sqlparser.Expr, sc *scope, outer *env) (*rel, error) {
-	cur, err := ex.scanSource(sources[0], perSource[0], sc, outer)
-	if err != nil {
-		return nil, err
+// joinIter opens the FROM entries as a left-deep join chain. The first
+// entry streams as the probe side; each later entry is the build side of
+// a hash join on the equi-join conjuncts that bind it, or the inner side
+// of a cross join when none does. Multi-source conjuncts filter the chain
+// as soon as a join binds them.
+func (ex *executor) joinIter(core *sqlparser.SelectCore, sources []*sourceInfo, sc *scope, outer *env, exhaustive bool) (*RelSchema, rowIter) {
+	classifieds, perSource := classifyConjuncts(core, sources)
+	schema := sources[0].schema
+	it := ex.scanIter(sources[0], perSource[0], sc, outer, exhaustive)
+	if len(sources) == 1 {
+		return schema, it
 	}
 	joined := map[int]bool{0: true}
 	for i := 1; i < len(sources); i++ {
-		next, err := ex.scanSource(sources[i], perSource[i], sc, outer)
-		if err != nil {
-			return nil, err
-		}
+		next := ex.scanIter(sources[i], perSource[i], sc, outer, exhaustive)
 		joined[i] = true
 		var lkeys, rkeys []int
 		for _, cl := range classifieds {
 			if cl.applied || !subset(cl.refs, joined) {
 				continue
 			}
-			if li, ri, ok := asEquiJoin(cl.expr, cur.schema, next.schema); ok {
+			if li, ri, ok := asEquiJoin(cl.expr, schema, sources[i].schema); ok {
 				lkeys = append(lkeys, li)
 				rkeys = append(rkeys, ri)
 				cl.applied = true
 			}
 		}
 		if len(lkeys) > 0 {
-			cur, err = ex.hashJoin(cur, next, lkeys, rkeys)
+			it = &hashJoinIter{ex: ex, probe: it, build: next, lkeys: lkeys, rkeys: rkeys}
 		} else {
-			cur, err = ex.crossJoin(cur, next)
+			it = &crossJoinIter{ex: ex, left: it, inner: next}
 		}
-		if err != nil {
-			return nil, err
-		}
-		// Apply any remaining conjuncts that became fully bound.
+		schema = concatSchemas(schema, sources[i].schema)
 		var pending []sqlparser.Expr
 		for _, cl := range classifieds {
 			if !cl.applied && subset(cl.refs, joined) {
@@ -748,81 +555,28 @@ func (ex *executor) joinSources(sources []*sourceInfo, classifieds []*classified
 				cl.applied = true
 			}
 		}
-		if cur, err = ex.filterRel(cur, pending, sc, outer); err != nil {
-			return nil, err
+		if len(pending) > 0 {
+			it = &filterIter{src: it, schema: schema, conjs: pending, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
 		}
 	}
-	// Safety net: anything unapplied (should not happen) filters here.
-	var leftovers []sqlparser.Expr
-	for _, cl := range classifieds {
-		if !cl.applied {
-			leftovers = append(leftovers, cl.expr)
-		}
-	}
-	return ex.filterRel(cur, leftovers, sc, outer)
+	// scansExhaustive opened every scan of a join exhaustive; keep that
+	// promise when a LIMIT or an early Close stops the consumer.
+	return schema, &exhaustIter{src: it}
 }
 
-// coreIter opens one select core as a stream. Single-source cores without
-// grouping or ordering stream end to end: scan → filter → project →
-// [distinct] → [limit], producing tuples on demand. Joins, aggregation
-// and ORDER BY materialise at the stage that requires it and stream from
-// there on.
+// coreIter opens one select core as a stream: FROM entries → scans →
+// join chain → project → [offset] → [limit]. Rows are produced on demand;
+// only a join's build or inner side, grouping and ORDER BY buffer.
 func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env, exhaustive bool) ([]string, rowIter, error) {
-	grouped := coreIsGrouped(core)
-	// The scans below this core are drained to completion when grouping,
-	// ordering, or a join materialises here regardless of the consumer —
-	// otherwise only when the consumer promised to drain us and no LIMIT
-	// can cut the stream short.
-	srcExhaustive := grouped || len(core.OrderBy) > 0 || len(core.From) > 1 ||
-		(exhaustive && core.Limit < 0)
-
+	srcExhaustive := scansExhaustive(core, exhaustive)
 	sources, err := ex.resolveSources(core, sc, outer, srcExhaustive)
 	if err != nil {
 		return nil, nil, err
 	}
-	classifieds, perSource := classifyConjuncts(core, sources)
-
-	var cur *rel // set when the join path materialised the input
-	var schema *RelSchema
-	var it rowIter
-	if len(sources) == 1 {
-		schema, it, err = ex.scanSourceIter(sources[0], perSource[0], sc, outer, srcExhaustive)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		cur, err = ex.joinSources(sources, classifieds, perSource, sc, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema, it = cur.schema, &sliceIter{ex: ex, rows: cur.rows}
-	}
-
-	if grouped || len(core.OrderBy) > 0 {
-		if cur == nil {
-			rows, err := drainIter(it)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = &rel{schema: schema, rows: rows}
-		}
-		res, err := ex.project(core, cur, sc, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.Columns, &sliceIter{ex: ex, rows: res.Rows}, nil
-	}
-
-	// Streaming projection: no grouping, no ordering.
-	var columns []string
-	if core.Star {
-		columns = schema.ColumnNames()
-	} else {
-		columns = ex.outputColumns(core)
-		it = &projIter{src: it, items: core.Items, schema: schema, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
-	}
-	if core.Distinct {
-		it = &distinctIter{src: it}
+	schema, it := ex.joinIter(core, sources, sc, outer, srcExhaustive)
+	columns, it, err := ex.project(core, schema, it, sc, outer)
+	if err != nil {
+		return nil, nil, err
 	}
 	if core.Limit >= 0 {
 		if core.Offset > 0 {
@@ -831,6 +585,15 @@ func (ex *executor) coreIter(core *sqlparser.SelectCore, sc *scope, outer *env, 
 		it = &limitIter{src: it, n: core.Limit}
 	}
 	return columns, it, nil
+}
+
+// scansExhaustive is the drain promise a core makes to its FROM scans.
+// Grouping, ordering and joins read their inputs to the end whatever the
+// consumer takes; otherwise only a draining consumer with no LIMIT does.
+// EXPLAIN derives its "vec" marker from the same rule.
+func scansExhaustive(core *sqlparser.SelectCore, exhaustive bool) bool {
+	return coreIsGrouped(core) || len(core.OrderBy) > 0 || len(core.From) > 1 ||
+		(exhaustive && core.Limit < 0)
 }
 
 func subset(a, b map[int]bool) bool {
@@ -843,8 +606,7 @@ func subset(a, b map[int]bool) bool {
 }
 
 // coreIsGrouped reports whether the core needs grouping semantics: an
-// explicit GROUP BY, or aggregates in the select list or HAVING. Both
-// the streaming and materialising paths route on this single predicate.
+// explicit GROUP BY, or aggregates in the select list or HAVING.
 func coreIsGrouped(core *sqlparser.SelectCore) bool {
 	if len(core.GroupBy) > 0 {
 		return true
@@ -857,210 +619,155 @@ func coreIsGrouped(core *sqlparser.SelectCore) bool {
 	return core.Having != nil && containsAggregate(core.Having)
 }
 
-// project evaluates GROUP BY / aggregation, the select list, DISTINCT,
-// ORDER BY and LIMIT over the joined relation (the materialising path;
-// cores without grouping or ordering stream through coreIter instead).
-func (ex *executor) project(core *sqlparser.SelectCore, cur *rel, sc *scope, outer *env) (*Result, error) {
-	grouped := coreIsGrouped(core)
-
-	columns := ex.outputColumns(core)
-
-	var outRows []storage.Row
-	var orderKeys [][]storage.Value
-
-	evalRowItems := func(ev *evaluator, en *env) (storage.Row, error) {
-		row := make(storage.Row, len(core.Items))
+// project turns the input stream into the core's output rows: grouping
+// and aggregation, the select list, DISTINCT and the ORDER BY sort. Only
+// grouping and the sort buffer; a core with neither streams row by row.
+// While the sort is pending each row carries its ORDER BY keys after the
+// first width columns, so DISTINCT runs ahead of the sort and duplicates
+// keep their first occurrence's keys.
+func (ex *executor) project(core *sqlparser.SelectCore, schema *RelSchema, in rowIter, sc *scope, outer *env) ([]string, rowIter, error) {
+	columns, width := ex.outputColumns(core), len(core.Items)
+	if core.Star {
+		columns, width = schema.ColumnNames(), len(schema.Cols)
+	}
+	var alias map[string]int
+	if len(core.OrderBy) > 0 {
+		alias = make(map[string]int, len(core.Items))
 		for i, it := range core.Items {
-			v, err := ev.eval(it.Expr, en)
-			if err != nil {
-				return nil, err
+			if it.Alias != "" {
+				alias[it.Alias] = i
 			}
-			row[i] = v
-		}
-		return row, nil
-	}
-	// ORDER BY may name a select-list alias (ORDER BY visits DESC): such
-	// keys read the already-computed output row, where the alias exists,
-	// instead of re-evaluating in the source scope, where it does not.
-	// When an alias shadows a source column the alias wins, matching
-	// MySQL's resolution order.
-	aliasIdx := make(map[string]int, len(core.Items))
-	for i, it := range core.Items {
-		if it.Alias != "" {
-			aliasIdx[it.Alias] = i
 		}
 	}
-	evalOrderKeys := func(ev *evaluator, en *env, out storage.Row) ([]storage.Value, error) {
-		if len(core.OrderBy) == 0 {
-			return nil, nil
+	it := in
+	switch {
+	case coreIsGrouped(core):
+		if core.Star {
+			in.Close()
+			return nil, nil, fmt.Errorf("engine: SELECT * is not valid with GROUP BY or aggregates")
 		}
-		keys := make([]storage.Value, len(core.OrderBy))
-		for i, o := range core.OrderBy {
-			if cr, ok := o.Expr.(*sqlparser.ColRef); ok && cr.Table == "" && out != nil {
-				if j, ok := aliasIdx[cr.Column]; ok {
-					keys[i] = out[j]
-					continue
-				}
-			}
-			v, err := ev.eval(o.Expr, en)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
+		rows, err := ex.aggregate(core, schema, in, sc, outer, alias)
+		if err != nil {
+			return nil, nil, err
 		}
-		return keys, nil
+		it = &sliceIter{ex: ex, rows: rows}
+	case !core.Star || len(core.OrderBy) > 0:
+		it = &projIter{src: in, core: core, alias: alias, schema: schema, ev: &evaluator{ex: ex, scope: sc}, outer: outer}
 	}
+	if core.Distinct {
+		it = &distinctIter{src: it, width: width}
+	}
+	if len(core.OrderBy) == 0 {
+		return columns, it, nil
+	}
+	rows, err := drainIter(it)
+	if err != nil {
+		return nil, nil, err
+	}
+	sortRows(rows, width, core.OrderBy)
+	return columns, &sliceIter{ex: ex, rows: rows}, nil
+}
 
-	if !grouped {
-		if core.Star {
-			outRows = cur.rows
-			columns = cur.schema.ColumnNames()
-			if len(core.OrderBy) > 0 {
-				ev := &evaluator{ex: ex, scope: sc}
-				orderKeys = make([][]storage.Value, len(outRows))
-				for i, row := range cur.rows {
-					if err := ex.checkCtx(); err != nil {
-						return nil, err
-					}
-					en := &env{schema: cur.schema, row: row, outer: outer}
-					keys, err := evalOrderKeys(ev, en, nil)
-					if err != nil {
-						return nil, err
-					}
-					orderKeys[i] = keys
-				}
-			}
-		} else {
-			ev := &evaluator{ex: ex, scope: sc}
-			for _, row := range cur.rows {
-				if err := ex.checkCtx(); err != nil {
-					return nil, err
-				}
-				en := &env{schema: cur.schema, row: row, outer: outer}
-				out, err := evalRowItems(ev, en)
-				if err != nil {
-					return nil, err
-				}
-				outRows = append(outRows, out)
-				if len(core.OrderBy) > 0 {
-					keys, err := evalOrderKeys(ev, en, out)
-					if err != nil {
-						return nil, err
-					}
-					orderKeys = append(orderKeys, keys)
-				}
-			}
-		}
+// outputRow evaluates one output row over en: the select list (en's row
+// itself under SELECT *) followed by the ORDER BY keys. A key naming a
+// select-list alias (ORDER BY visits DESC) reads the computed output
+// value, where the alias exists, instead of re-evaluating in the source
+// scope, where it does not. When an alias shadows a source column the
+// alias wins, matching MySQL's resolution order.
+func outputRow(ev *evaluator, en *env, core *sqlparser.SelectCore, alias map[string]int) (storage.Row, error) {
+	var out storage.Row
+	if core.Star {
+		out = make(storage.Row, len(en.row), len(en.row)+len(core.OrderBy))
+		copy(out, en.row)
 	} else {
-		if core.Star {
-			return nil, fmt.Errorf("engine: SELECT * is not valid with GROUP BY or aggregates")
+		out = make(storage.Row, len(core.Items), len(core.Items)+len(core.OrderBy))
+		for i, item := range core.Items {
+			v, err := ev.eval(item.Expr, en)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
 		}
-		groups, order, err := ex.buildGroups(core, cur, sc, outer)
+	}
+	for _, o := range core.OrderBy {
+		if cr, ok := o.Expr.(*sqlparser.ColRef); ok && cr.Table == "" {
+			if j, ok := alias[cr.Column]; ok {
+				out = append(out, out[j])
+				continue
+			}
+		}
+		v, err := ev.eval(o.Expr, en)
 		if err != nil {
 			return nil, err
 		}
-		aggNodes := collectAggregates(core)
-		for _, gk := range order {
-			g := groups[gk]
-			aggVals, err := ex.computeAggregates(aggNodes, g, cur.schema, sc, outer)
-			if err != nil {
-				return nil, err
-			}
-			ev := &evaluator{ex: ex, scope: sc, aggValues: aggVals}
-			rep := g.representative(cur.schema)
-			en := &env{schema: cur.schema, row: rep, outer: outer}
-			if core.Having != nil {
-				hv, err := ev.eval(core.Having, en)
-				if err != nil {
-					return nil, err
-				}
-				if t, _ := truth(hv); !t {
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// sortRows stable-sorts rows on the ORDER BY keys held after their first
+// width columns, then trims the keys off.
+func sortRows(rows []storage.Row, width int, order []sqlparser.OrderItem) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		ka, kb := rows[a][width:], rows[b][width:]
+		for i, o := range order {
+			c, ok := storage.Compare(ka[i], kb[i])
+			if !ok {
+				// NULLs (and incomparables) first on ASC, last on DESC.
+				an, bn := ka[i].IsNull(), kb[i].IsNull()
+				if an == bn {
 					continue
 				}
+				return an != o.Desc
 			}
-			out, err := evalRowItems(ev, en)
-			if err != nil {
-				return nil, err
-			}
-			outRows = append(outRows, out)
-			if len(core.OrderBy) > 0 {
-				keys, err := evalOrderKeys(ev, en, out)
-				if err != nil {
-					return nil, err
-				}
-				orderKeys = append(orderKeys, keys)
-			}
-		}
-	}
-
-	if core.Distinct {
-		seen := make(map[string]struct{}, len(outRows))
-		dedupRows := outRows[:0:0]
-		var dedupKeys [][]storage.Value
-		for i, row := range outRows {
-			k := rowKey(row)
-			if _, dup := seen[k]; dup {
+			if c == 0 {
 				continue
 			}
-			seen[k] = struct{}{}
-			dedupRows = append(dedupRows, row)
-			if orderKeys != nil {
-				dedupKeys = append(dedupKeys, orderKeys[i])
+			if o.Desc {
+				return c > 0
 			}
+			return c < 0
 		}
-		outRows = dedupRows
-		if orderKeys != nil {
-			orderKeys = dedupKeys
-		}
+		return false
+	})
+	for i, r := range rows {
+		rows[i] = r[:width:width]
 	}
+}
 
-	if len(core.OrderBy) > 0 {
-		idx := make([]int, len(outRows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := orderKeys[idx[a]], orderKeys[idx[b]]
-			for i, o := range core.OrderBy {
-				c, ok := storage.Compare(ka[i], kb[i])
-				if !ok {
-					// NULLs (and incomparables) first on ASC, last on DESC.
-					an, bn := ka[i].IsNull(), kb[i].IsNull()
-					if an == bn {
-						continue
-					}
-					return an != o.Desc
-				}
-				if c == 0 {
-					continue
-				}
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		sorted := make([]storage.Row, len(outRows))
-		for i, j := range idx {
-			sorted[i] = outRows[j]
-		}
-		outRows = sorted
+// aggregate drains the input into GROUP BY buckets and evaluates one
+// output row per group, dropping the groups HAVING rejects.
+func (ex *executor) aggregate(core *sqlparser.SelectCore, schema *RelSchema, in rowIter, sc *scope, outer *env, alias map[string]int) ([]storage.Row, error) {
+	groups, order, err := ex.buildGroups(core, schema, in, sc, outer)
+	if err != nil {
+		return nil, err
 	}
-
-	if core.Limit >= 0 {
-		if off := core.Offset; off > 0 {
-			if off >= int64(len(outRows)) {
-				outRows = outRows[:0]
-			} else {
-				outRows = outRows[off:]
+	aggNodes := collectAggregates(core)
+	var out []storage.Row
+	for _, gk := range order {
+		g := groups[gk]
+		aggVals, err := ex.computeAggregates(aggNodes, g, schema, sc, outer)
+		if err != nil {
+			return nil, err
+		}
+		ev := &evaluator{ex: ex, scope: sc, aggValues: aggVals}
+		en := &env{schema: schema, row: g.representative(schema), outer: outer}
+		if core.Having != nil {
+			hv, err := ev.eval(core.Having, en)
+			if err != nil {
+				return nil, err
+			}
+			if t, _ := truth(hv); !t {
+				continue
 			}
 		}
-		if int64(len(outRows)) > core.Limit {
-			outRows = outRows[:core.Limit]
+		row, err := outputRow(ev, en, core, alias)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, row)
 	}
-	return &Result{Columns: columns, Rows: outRows}, nil
+	return out, nil
 }
 
 func (ex *executor) outputColumns(core *sqlparser.SelectCore) []string {
@@ -1092,21 +799,33 @@ func (g *group) representative(schema *RelSchema) storage.Row {
 	return make(storage.Row, len(schema.Cols))
 }
 
-func (ex *executor) buildGroups(core *sqlparser.SelectCore, cur *rel, sc *scope, outer *env) (map[string]*group, []string, error) {
+// buildGroups drains the input into GROUP BY buckets, in first-seen order.
+func (ex *executor) buildGroups(core *sqlparser.SelectCore, schema *RelSchema, in rowIter, sc *scope, outer *env) (map[string]*group, []string, error) {
+	if len(core.GroupBy) == 0 {
+		// A single group over all rows (aggregates without GROUP BY).
+		rows, err := drainIter(in)
+		if err != nil {
+			return nil, nil, err
+		}
+		return map[string]*group{"": {rows: rows}}, []string{""}, nil
+	}
+	defer in.Close()
 	groups := make(map[string]*group)
 	var order []string
 	ev := &evaluator{ex: ex, scope: sc}
-	if len(core.GroupBy) == 0 {
-		// A single group over all rows (aggregates without GROUP BY).
-		groups[""] = &group{rows: cur.rows}
-		return groups, []string{""}, nil
-	}
 	var b strings.Builder
-	for _, row := range cur.rows {
+	for {
+		row, err := in.Next()
+		if err != nil {
+			return nil, nil, err
+		}
+		if row == nil {
+			return groups, order, nil
+		}
 		if err := ex.checkCtx(); err != nil {
 			return nil, nil, err
 		}
-		en := &env{schema: cur.schema, row: row, outer: outer}
+		en := &env{schema: schema, row: row, outer: outer}
 		b.Reset()
 		for _, gexpr := range core.GroupBy {
 			v, err := ev.eval(gexpr, en)
@@ -1124,7 +843,6 @@ func (ex *executor) buildGroups(core *sqlparser.SelectCore, cur *rel, sc *scope,
 		}
 		g.rows = append(g.rows, row)
 	}
-	return groups, order, nil
 }
 
 func collectAggregates(core *sqlparser.SelectCore) []*sqlparser.FuncCall {

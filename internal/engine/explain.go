@@ -81,24 +81,22 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 	// refSet classification come from the catalog only for base tables.
 	sources := make([]*sourceInfo, 0, len(core.From))
 	for _, ref := range core.From {
-		src := &sourceInfo{ref: ref, name: ref.RefName(), cols: make(map[string]bool)}
+		src := &sourceInfo{ref: ref, name: ref.RefName(), schema: &RelSchema{}}
 		if ref.Subquery == nil && !cteNames[ref.Name] {
 			t, ok := ex.db.Table(ref.Name)
 			if !ok {
 				return nil, fmt.Errorf("engine: unknown table %q", ref.Name)
 			}
 			src.tbl = t
-			for _, c := range t.Schema.Columns {
-				src.cols[c.Name] = true
-			}
+			src.schema = qualifySchema(src.name, t.Schema)
 		}
 		sources = append(sources, src)
 	}
 
-	// Scans vectorise only under an exhaustive consumer; mirror coreIter's
-	// srcExhaustive for a materialising execution of this core, so the
-	// plan's "vec" marker matches what the executor's counters will show.
-	srcExhaustive := coreIsGrouped(core) || len(core.OrderBy) > 0 || len(core.From) > 1 || core.Limit < 0
+	// Scans vectorise only under an exhaustive consumer: apply coreIter's
+	// rule for a drained execution of this core, so the plan's "vec"
+	// marker matches what the executor's counters will show.
+	srcExhaustive := scansExhaustive(core, true)
 
 	conjuncts := sqlparser.Conjuncts(core.Where)
 	perSource := make([][]sqlparser.Expr, len(sources))
@@ -120,7 +118,7 @@ func (ex *executor) explain(s *sqlparser.SelectStmt) (*Explain, error) {
 		pruned, ownerPruned, total := plan.segmentStats(src.tbl)
 		vec := false
 		if plan.Kind == AccessSeq && srcExhaustive && !ex.db.ForceRowEval {
-			vec = vectorisable(perSource[i], qualifySchema(src.name, src.tbl.Schema))
+			vec = vectorisable(perSource[i], src.schema)
 		}
 		out.Tables = append(out.Tables, TableAccess{
 			Table:               src.name,

@@ -127,27 +127,18 @@ func (it *parallelScanIter) start() {
 	}()
 }
 
-// workerState is one worker's private scan machinery: evaluator, scratch
-// buffers, and — unless the DB forces row evaluation — its own compiled
-// vector program (programs hold scratch state and are single-goroutine).
-type workerState struct {
-	ev         *evaluator
-	buf        []storage.Row
-	zbuf       []storage.ZoneMap
-	wantOwners bool
-	prog       *vecProgram
-	batch      storage.Batch
-}
-
 func (it *parallelScanIter) worker(child *executor, work <-chan segTask) {
 	defer it.wg.Done()
-	ws := &workerState{
-		ev:         &evaluator{ex: child, scope: it.sc},
-		zbuf:       make([]storage.ZoneMap, len(it.plan.zoneCols)),
-		wantOwners: hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn()),
-	}
-	if !it.ex.db.ForceRowEval {
-		ws.prog, _ = compileVecProgram(it.conjs, it.schema)
+	// Each worker owns its segScan: programs hold scratch state and are
+	// single-goroutine.
+	s := newSegScan(child, it.view, it.plan, it.schema, it.conjs, &evaluator{ex: child, scope: it.sc}, it.outer, true)
+	poll := func() error {
+		select {
+		case <-it.done:
+			return errScanClosed
+		default:
+		}
+		return child.checkCtx()
 	}
 	for {
 		var tk segTask
@@ -164,7 +155,7 @@ func (it *parallelScanIter) worker(child *executor, work <-chan segTask) {
 		if child.span != nil {
 			t0 = time.Now()
 		}
-		res, alive := it.scanSegment(child, ws, tk.seg)
+		res, alive := it.scanSegment(child, s, tk.seg, poll)
 		if child.span != nil {
 			sp := child.span.Child("workers")
 			sp.AddSince(t0)
@@ -180,41 +171,24 @@ func (it *parallelScanIter) worker(child *executor, work <-chan segTask) {
 	}
 }
 
-// scanSegment zone- and owner-dictionary-checks, reads, and filters one
-// segment with the worker's own evaluator and counters — vectorised over a
-// batch unless the DB forces row evaluation or nothing compiles. alive is
-// false when the operator was closed mid-scan (no result is delivered;
+// scanSegment loads one segment through the worker's segScan and, on the
+// row path, filters it with the worker's own evaluator and counters. alive
+// is false when the operator was closed mid-scan (no result is delivered;
 // nobody is waiting).
-func (it *parallelScanIter) scanSegment(child *executor, ws *workerState, seg int) (segResult, bool) {
-	if refuted, dict := segmentRefuted(it.view, seg, it.plan.zonePreds, it.plan.zoneCols, ws.zbuf, ws.wantOwners); refuted {
-		child.local.SegmentsPruned++
-		if dict {
-			child.local.OwnerDictPruned++
-		}
-		return segResult{}, true
+func (it *parallelScanIter) scanSegment(child *executor, s *segScan, seg int, poll func() error) (segResult, bool) {
+	err := s.load(seg, poll)
+	switch {
+	case errors.Is(err, errScanClosed):
+		return segResult{}, false
+	case err != nil:
+		return segResult{err: err}, true
+	case s.prog != nil:
+		rows := s.buf
+		s.buf = nil // handed to the consumer; the next segment loads into a fresh slice
+		return segResult{rows: rows}, true
 	}
-	if ws.prog != nil {
-		poll := func() error {
-			select {
-			case <-it.done:
-				return errScanClosed
-			default:
-			}
-			return child.checkCtx()
-		}
-		_, err := scanSegmentVectorised(child, ws.prog, it.view, seg, &ws.batch, ws.ev, it.schema, it.outer, poll)
-		switch {
-		case errors.Is(err, errScanClosed):
-			return segResult{}, false
-		case err != nil:
-			return segResult{err: err}, true
-		}
-		return segResult{rows: selectedRows(&ws.batch, nil)}, true
-	}
-	ws.buf = it.view.ScanSegment(seg, ws.buf[:0])
-	child.local.SegmentsScanned++
 	var out []storage.Row
-	for i, row := range ws.buf {
+	for i, row := range s.buf {
 		if i%ctxCheckInterval == 0 {
 			select {
 			case <-it.done:
@@ -226,7 +200,7 @@ func (it *parallelScanIter) scanSegment(child *executor, ws *workerState, seg in
 			return segResult{err: err}, true
 		}
 		child.local.TuplesRead++
-		keep, err := rowPasses(ws.ev, it.schema, row, it.conjs, it.outer)
+		keep, err := rowPasses(s.ev, it.schema, row, it.conjs, it.outer)
 		if err != nil {
 			return segResult{err: err}, true
 		}

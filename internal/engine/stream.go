@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/sieve-db/sieve/internal/sqlparser"
@@ -234,115 +235,54 @@ type tableIter struct {
 
 	inited bool
 	view   *storage.View
-	// sequential segment cursor
-	seq        bool
-	seg        int
-	buf        []storage.Row
-	pos        int
-	zbuf       []storage.ZoneMap
-	wantOwners bool // some zone leaf can use the owner dictionaries
-	// vectorised evaluation (nil: row-at-a-time)
-	prog  *vecProgram
-	batch storage.Batch
+	// sequential segment cursor (nil for index scans)
+	seq *segScan
+	seg int
+	pos int
 	// index fetch list
 	ids   []storage.RowID
 	idPos int
 }
 
-func (it *tableIter) init() error {
+func (it *tableIter) init() {
 	it.inited = true
 	it.view = it.t.View()
 	if it.plan.fetch == nil {
-		it.seq = true
-		it.zbuf = make([]storage.ZoneMap, len(it.plan.zoneCols))
-		it.wantOwners = hasOwnerLeaf(it.plan.zonePreds, it.view.OwnerColumn())
 		it.ex.counters.SeqScans++
-		if it.exhaustive && !it.ex.db.ForceRowEval {
-			it.prog, _ = compileVecProgram(it.conjs, it.schema)
-		}
-		return nil
+		it.seq = newSegScan(it.ex, it.view, it.plan, it.schema, it.conjs, it.ev, it.outer, it.exhaustive)
+		return
 	}
 	it.ids = it.plan.fetch(it.view, it.ex.counters)
-	return nil
 }
 
-// nextSegment loads the next unpruned segment into the buffer; ok is false
-// when the heap is exhausted. Pruned segments are skipped without touching
-// a single tuple — only the zone maps and owner dictionaries are read. On
-// the vectorised path the buffer holds the segment's already-filtered rows
-// (Next hands them out verbatim); on the row path it holds every live row
-// and Next filters.
+// nextSegment loads the next segment with rows to hand out; ok is false
+// when the heap is exhausted.
 func (it *tableIter) nextSegment() (bool, error) {
 	for it.seg < it.view.NumSegments() {
 		seg := it.seg
 		it.seg++
-		var t0 time.Time
-		if it.ex.spPrune != nil {
-			t0 = time.Now()
+		if err := it.seq.load(seg, nil); err != nil {
+			return false, err
 		}
-		refuted, dict := segmentRefuted(it.view, seg, it.plan.zonePreds, it.plan.zoneCols, it.zbuf, it.wantOwners)
-		if it.ex.spPrune != nil {
-			it.ex.spPrune.AddSince(t0)
-			if refuted {
-				it.ex.spPrune.Count("segments", 1)
-				if dict {
-					it.ex.spPrune.Count("owner_dict", 1)
-				}
-			}
-		}
-		if refuted {
-			it.ex.counters.SegmentsPruned++
-			if dict {
-				it.ex.counters.OwnerDictPruned++
-			}
-			continue
-		}
-		if it.prog != nil {
-			if it.ex.spVector != nil {
-				t0 = time.Now()
-			}
-			n, err := scanSegmentVectorised(it.ex, it.prog, it.view, seg, &it.batch, it.ev, it.schema, it.outer, nil)
-			if it.ex.spVector != nil {
-				it.ex.spVector.AddSince(t0)
-				it.ex.spVector.Count("batches", 1)
-			}
-			if err != nil {
-				return false, err
-			}
-			if n == 0 {
-				continue
-			}
-			it.buf = selectedRows(&it.batch, it.buf[:0])
-			if len(it.buf) == 0 {
-				continue
-			}
+		if len(it.seq.buf) > 0 {
 			it.pos = 0
 			return true, nil
 		}
-		it.buf = it.view.ScanSegment(seg, it.buf[:0])
-		it.ex.counters.SegmentsScanned++
-		if len(it.buf) == 0 {
-			continue
-		}
-		it.pos = 0
-		return true, nil
 	}
 	return false, nil
 }
 
 func (it *tableIter) Next() (storage.Row, error) {
 	if !it.inited {
-		if err := it.init(); err != nil {
-			return nil, err
-		}
+		it.init()
 	}
 	for {
 		if err := it.ex.checkCtx(); err != nil {
 			return nil, err
 		}
 		var row storage.Row
-		if it.seq {
-			if it.pos >= len(it.buf) {
+		if it.seq != nil {
+			if it.pos >= len(it.seq.buf) {
 				ok, err := it.nextSegment()
 				if err != nil {
 					return nil, err
@@ -351,9 +291,9 @@ func (it *tableIter) Next() (storage.Row, error) {
 					return nil, nil
 				}
 			}
-			row = it.buf[it.pos]
+			row = it.seq.buf[it.pos]
 			it.pos++
-			if it.prog != nil {
+			if it.seq.prog != nil {
 				// Vectorised segments arrive filtered and counted.
 				return row, nil
 			}
@@ -381,29 +321,91 @@ func (it *tableIter) Next() (storage.Row, error) {
 
 func (it *tableIter) Close() {}
 
-// scanSegmentVectorised loads one segment as a batch and runs the compiled
-// program over it, tallying the scan counters into ex. It returns the
-// number of live rows read (0 for an empty segment). poll, when non-nil,
-// is threaded into the program for cancellation between operators.
-func scanSegmentVectorised(ex *executor, prog *vecProgram, view *storage.View, seg int,
-	batch *storage.Batch, ev *evaluator, schema *RelSchema, outer *env, poll func() error) (int, error) {
+// segScan is a sequential scan's per-segment routine, shared by the
+// serial cursor (tableIter) and every parallel scan worker: the zone-map
+// and owner-dictionary check, the scan counters and the prune and vector
+// trace spans, and the vectorised or row load. It holds scratch state (the
+// compiled vector program among it), so each worker owns one.
+type segScan struct {
+	ex         *executor // receives the counters and spans
+	view       *storage.View
+	plan       accessPlan
+	schema     *RelSchema
+	ev         *evaluator
+	outer      *env
+	zbuf       []storage.ZoneMap
+	wantOwners bool        // some zone leaf can use the owner dictionaries
+	prog       *vecProgram // nil: row-at-a-time
+	batch      storage.Batch
+	buf        []storage.Row
+}
 
-	n := view.ScanBatch(seg, batch)
+// newSegScan prepares a scan of view; vectorise compiles the conjuncts for
+// the batch evaluator unless the DB forces row evaluation.
+func newSegScan(ex *executor, view *storage.View, plan accessPlan, schema *RelSchema, conjs []sqlparser.Expr,
+	ev *evaluator, outer *env, vectorise bool) *segScan {
+
+	s := &segScan{
+		ex: ex, view: view, plan: plan, schema: schema, ev: ev, outer: outer,
+		zbuf:       make([]storage.ZoneMap, len(plan.zoneCols)),
+		wantOwners: hasOwnerLeaf(plan.zonePreds, view.OwnerColumn()),
+	}
+	if vectorise && !ex.db.ForceRowEval {
+		s.prog, _ = compileVecProgram(conjs, schema)
+	}
+	return s
+}
+
+// load reads segment seg into buf. A segment the zone maps or owner
+// dictionaries refute leaves buf empty without touching a tuple. On the
+// vectorised path buf holds the rows passing the conjuncts, already
+// counted; on the row path it holds every live row for the caller to
+// filter and count. poll, when non-nil, is threaded into the vector
+// program for cancellation between conjuncts.
+func (s *segScan) load(seg int, poll func() error) error {
+	ex := s.ex
+	s.buf = s.buf[:0]
+	var t0 time.Time
+	if ex.spPrune != nil {
+		t0 = time.Now()
+	}
+	refuted, dict := segmentRefuted(s.view, seg, s.plan.zonePreds, s.plan.zoneCols, s.zbuf, s.wantOwners)
+	ex.spPrune.AddSince(t0)
+	if refuted {
+		ex.counters.SegmentsPruned++
+		ex.spPrune.Count("segments", 1)
+		if dict {
+			ex.counters.OwnerDictPruned++
+			ex.spPrune.Count("owner_dict", 1)
+		}
+		return nil
+	}
+	if s.prog == nil {
+		s.buf = s.view.ScanSegment(seg, s.buf)
+		ex.counters.SegmentsScanned++
+		return nil
+	}
+	if ex.spVector != nil {
+		defer ex.spVector.AddSince(time.Now())
+	}
+	n := s.view.ScanBatch(seg, &s.batch)
 	ex.counters.SegmentsScanned++
 	if n == 0 {
-		return 0, nil
+		return nil
 	}
 	ex.counters.TuplesRead += int64(n)
 	ex.counters.BatchesVectorised++
 	ex.counters.RowsVectorised += int64(n)
-	ve := &vecEnv{b: batch, ev: ev, schema: schema, outer: outer, ownerCol: view.OwnerColumn(), poll: poll}
-	if prog.needsOwners && ve.ownerCol >= 0 {
-		ve.owners, ve.hasOwners = view.Owners(seg)
+	ex.spVector.Count("batches", 1)
+	ve := &vecEnv{b: &s.batch, ev: s.ev, schema: s.schema, outer: s.outer, ownerCol: s.view.OwnerColumn(), poll: poll}
+	if s.prog.needsOwners && ve.ownerCol >= 0 {
+		ve.owners, ve.hasOwners = s.view.Owners(seg)
 	}
-	if err := prog.run(ve); err != nil {
-		return n, err
+	if err := s.prog.run(ve); err != nil {
+		return err
 	}
-	return n, nil
+	s.buf = selectedRows(&s.batch, s.buf)
+	return nil
 }
 
 // selectedRows appends the batch's selected rows to dst.
@@ -416,9 +418,188 @@ func selectedRows(b *storage.Batch, dst []storage.Row) []storage.Row {
 	return dst
 }
 
-// filterIter applies conjuncts to rows of a derived source.
+// hashJoinIter joins the probe stream (the join chain so far) with one
+// more FROM entry on equi-join keys. The build side is drained into a hash
+// table on the first Next; the probe side streams, so the output keeps the
+// probe's row order, each probe row's matches in build order.
+type hashJoinIter struct {
+	ex           *executor
+	probe, build rowIter
+	lkeys, rkeys []int
+	table        map[string][]storage.Row // nil until the build side is drained
+	b            strings.Builder
+	lrow         storage.Row
+	matches      []storage.Row // lrow's build rows not yet joined
+}
+
+func (it *hashJoinIter) Next() (storage.Row, error) {
+	if it.table == nil {
+		if err := it.fill(); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		if len(it.matches) > 0 {
+			// Per-match tick: a skewed key matching millions of build
+			// rows must still honour cancellation within the interval.
+			if err := it.ex.checkCtx(); err != nil {
+				return nil, err
+			}
+			r := it.matches[0]
+			it.matches = it.matches[1:]
+			return concatRows(it.lrow, r), nil
+		}
+		lrow, err := it.probe.Next()
+		if err != nil || lrow == nil {
+			return nil, err
+		}
+		if err := it.ex.checkCtx(); err != nil {
+			return nil, err
+		}
+		if k, ok := joinKey(&it.b, lrow, it.lkeys); ok {
+			it.lrow, it.matches = lrow, it.table[k]
+		}
+	}
+}
+
+// fill drains the build side into the hash table.
+func (it *hashJoinIter) fill() error {
+	defer it.build.Close()
+	table := make(map[string][]storage.Row)
+	for {
+		row, err := it.build.Next()
+		if err != nil {
+			return err
+		}
+		if row == nil {
+			it.table = table
+			return nil
+		}
+		if err := it.ex.checkCtx(); err != nil {
+			return err
+		}
+		if k, ok := joinKey(&it.b, row, it.rkeys); ok {
+			table[k] = append(table[k], row)
+		}
+	}
+}
+
+func (it *hashJoinIter) Close() {
+	it.probe.Close()
+	it.build.Close()
+}
+
+// joinKey encodes row's key columns; ok is false when one is NULL, which
+// equals nothing.
+func joinKey(b *strings.Builder, row storage.Row, keys []int) (string, bool) {
+	b.Reset()
+	for _, k := range keys {
+		if row[k].IsNull() {
+			return "", false
+		}
+		encodeValue(b, row[k])
+	}
+	return b.String(), true
+}
+
+// crossJoinIter pairs every row of the left stream with every row of the
+// inner side, which it drains on the first Next.
+type crossJoinIter struct {
+	ex          *executor
+	left, inner rowIter
+	rows        []storage.Row // the drained inner side
+	filled      bool
+	lrow        storage.Row
+	pos         int
+}
+
+func (it *crossJoinIter) Next() (storage.Row, error) {
+	if !it.filled {
+		rows, err := drainIter(it.inner)
+		if err != nil {
+			return nil, err
+		}
+		it.rows, it.filled = rows, true
+	}
+	for {
+		if it.lrow != nil && it.pos < len(it.rows) {
+			// Per-output-row tick: cancellation latency must not scale
+			// with the inner side's size.
+			if err := it.ex.checkCtx(); err != nil {
+				return nil, err
+			}
+			r := it.rows[it.pos]
+			it.pos++
+			return concatRows(it.lrow, r), nil
+		}
+		lrow, err := it.left.Next()
+		if err != nil || lrow == nil {
+			return nil, err
+		}
+		it.lrow, it.pos = lrow, 0
+	}
+}
+
+func (it *crossJoinIter) Close() {
+	it.left.Close()
+	it.inner.Close()
+}
+
+// exhaustIter reads its stream to the end once started, even when the
+// consumer stops early. Joins and set operations open their inputs
+// exhaustive (see scansExhaustive), which lets vectorised and parallel
+// scans read whole segments ahead of the consumer; draining keeps that
+// promise, so the work counters do not depend on where a LIMIT or an
+// early Close cut the output.
+type exhaustIter struct {
+	src           rowIter
+	started, done bool
+}
+
+func (it *exhaustIter) Next() (storage.Row, error) {
+	it.started = true
+	row, err := it.src.Next()
+	if err != nil || row == nil {
+		it.done = true
+	}
+	return row, err
+}
+
+func (it *exhaustIter) Close() {
+	for it.started && !it.done {
+		// An error ends the drain; the consumer has its rows already.
+		_, _ = it.Next()
+	}
+	it.src.Close()
+}
+
+// concatIter yields each input stream in turn (UNION ALL).
+type concatIter struct {
+	srcs []rowIter
+}
+
+func (it *concatIter) Next() (storage.Row, error) {
+	for len(it.srcs) > 0 {
+		row, err := it.srcs[0].Next()
+		if err != nil || row != nil {
+			return row, err
+		}
+		it.srcs[0].Close()
+		it.srcs = it.srcs[1:]
+	}
+	return nil, nil
+}
+
+func (it *concatIter) Close() {
+	for _, src := range it.srcs {
+		src.Close()
+	}
+	it.srcs = nil
+}
+
+// filterIter applies conjuncts to a stream: a derived source's pushed-down
+// conjuncts, or those a join binds.
 type filterIter struct {
-	ex     *executor
 	src    rowIter
 	schema *RelSchema
 	conjs  []sqlparser.Expr
@@ -444,10 +625,11 @@ func (it *filterIter) Next() (storage.Row, error) {
 
 func (it *filterIter) Close() { it.src.Close() }
 
-// projIter evaluates the select list per input row.
+// projIter evaluates each input row's output row (see outputRow).
 type projIter struct {
 	src    rowIter
-	items  []sqlparser.SelectItem
+	core   *sqlparser.SelectCore
+	alias  map[string]int
 	schema *RelSchema
 	ev     *evaluator
 	outer  *env
@@ -458,36 +640,44 @@ func (it *projIter) Next() (storage.Row, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	en := &env{schema: it.schema, row: row, outer: it.outer}
-	out := make(storage.Row, len(it.items))
-	for i, item := range it.items {
-		v, err := it.ev.eval(item.Expr, en)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return outputRow(it.ev, &env{schema: it.schema, row: row, outer: it.outer}, it.core, it.alias)
 }
 
 func (it *projIter) Close() { it.src.Close() }
 
-// distinctIter suppresses duplicate rows, keeping first occurrences.
+// distinctIter suppresses duplicate rows, keeping first occurrences. Rows
+// compare on their first width columns (0: all of them). For MINUS, except
+// is the right arm: drained on the first Next, its rows are suppressed too.
 type distinctIter struct {
-	src  rowIter
-	seen map[string]struct{}
+	src, except rowIter
+	width       int
+	seen        map[string]struct{}
 }
 
 func (it *distinctIter) Next() (storage.Row, error) {
 	if it.seen == nil {
-		it.seen = make(map[string]struct{})
+		seen := make(map[string]struct{})
+		if it.except != nil {
+			rows, err := drainIter(it.except)
+			if err != nil {
+				return nil, err
+			}
+			for _, row := range rows {
+				seen[rowKey(row)] = struct{}{}
+			}
+		}
+		it.seen = seen
 	}
 	for {
 		row, err := it.src.Next()
 		if err != nil || row == nil {
 			return nil, err
 		}
-		k := rowKey(row)
+		key := row
+		if it.width > 0 {
+			key = row[:it.width]
+		}
+		k := rowKey(key)
 		if _, dup := it.seen[k]; dup {
 			continue
 		}
@@ -496,7 +686,12 @@ func (it *distinctIter) Next() (storage.Row, error) {
 	}
 }
 
-func (it *distinctIter) Close() { it.src.Close() }
+func (it *distinctIter) Close() {
+	it.src.Close()
+	if it.except != nil {
+		it.except.Close()
+	}
+}
 
 // offsetIter discards the first skip rows of the stream (LIMIT ... OFFSET).
 // It sits upstream of limitIter so the limit counts delivered rows only.
